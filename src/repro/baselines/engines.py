@@ -104,7 +104,7 @@ def gf(
     """
     if any(e.kind != CHILD for e in p.edges):
         raise ValueError("GF cannot map edges to paths; materialize the TC first")
-    rig = build_rig(ctx, p, sim=None, guard=guard)  # match RIG: no pruning
+    rig = build_rig(ctx, p, max_passes=0, guard=guard)  # match RIG: no pruning
     return mjoin(rig, jo_order(rig), limit=limit, guard=guard)
 
 
@@ -136,7 +136,7 @@ def eh(
         if guard is not None:
             guard.tick(n)
     pre = time.perf_counter() - t0
-    rig = build_rig(ctx, p, sim=None, guard=guard)
+    rig = build_rig(ctx, p, max_passes=0, guard=guard)
     return mjoin(rig, jo_order(rig), limit=limit, guard=guard), pre
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
+from repro.core.simulation import fb_sim
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 from repro.queries.sql import col_name
@@ -27,9 +27,12 @@ def edge_relations(
     ctx: MatchContext, p: Pattern, *, prefilter: bool = True,
     guard: Guard | None = None,
 ) -> dict[PEdge, DataFrame]:
-    """Per-edge match relations, optionally node-pre-filtered [11,63]."""
+    """Per-edge match relations, optionally node-pre-filtered [11,63].
+
+    The pre-filter is one double-simulation pass from the match sets.
+    """
     rels: dict[PEdge, DataFrame] = {}
-    pf = prefilter_nodes(ctx, p, guard=guard) if prefilter else None
+    pf = fb_sim(ctx, p, max_passes=1, guard=guard).fb if prefilter else None
     for e in p.edges:
         ms = ctx.ms_edge(p, e)
         if pf is not None:

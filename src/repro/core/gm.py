@@ -1,16 +1,18 @@
 """GM: the paper's end-to-end graph pattern matching pipeline (§7.1).
 
 transitive reduction (§3) -> double simulation + RIG (§4) -> search
-order (§5.2) -> MJoin enumeration (§5.1). Variants exercised by the
-evaluation tables:
+order (§5.2) -> MJoin enumeration (§5.1). The evaluation's variants are
+settings of :func:`gm`:
 
-* ``gm``    — full pipeline (FBSim, pass cap 3, JO order by default).
-* ``gm-f``  — no double simulation; RIG from pre-filtered match sets
-  (one-pass node pre-filter [11,63]) — larger RIG, slower enumeration.
-* ``gm-s``  — no pre-filter before simulation (identical here: our
-  simulation starts from raw match sets, pre-filtering is subsumed by
-  pass 1, so gm == gm-s; kept for API parity).
-* ``gm-nr`` — skip the pattern transitive reduction (Fig. 15 ablation).
+* GM    — the defaults: reduction, simulation capped at 3 passes, JO order.
+* GM-F  — ``sim_passes=1``: one pass is the node pre-filter [11,63], so
+  the RIG is built from pre-filtered match sets — larger RIG, slower
+  enumeration.
+* GM-NR — ``reduce=False``: skip the pattern transitive reduction
+  (Fig. 15 ablation).
+
+GM-S (no pre-filter before simulation) needs no setting: the simulation
+starts from the raw match sets and its first pass is the pre-filter.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import pick_order
@@ -47,7 +48,6 @@ def gm(
     ctx: MatchContext,
     p: Pattern,
     *,
-    variant: str = "gm",
     order_method: str = "jo",
     sim_passes: int | None = 3,
     limit: int | None = None,
@@ -55,19 +55,15 @@ def gm(
     guard: Guard | None = None,
     partial_cap: int | None = None,
 ) -> GMResult:
-    """Run GM (or a variant) and return the lazy answer DataFrame."""
+    """Run GM and return the lazy answer DataFrame."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if reduce and variant != "gm-nr":
+    if reduce:
         p = transitive_reduction(p)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if variant == "gm-f":
-        pf = prefilter_nodes(ctx, p, guard=guard)
-        rig = build_rig(ctx, p, sim=None, prefilter_fb=pf, guard=guard)
-    else:
-        rig = build_rig(ctx, p, sim="auto", max_passes=sim_passes, guard=guard)
+    rig = build_rig(ctx, p, max_passes=sim_passes, guard=guard)
     timings["rig"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

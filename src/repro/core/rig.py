@@ -6,26 +6,28 @@ query edge, with os ⊆ cos ⊆ ms (Def. 4.1). It losslessly encodes every
 homomorphism from Q to G (Prop. 4.1) and is the search space MJoin
 enumerates over.
 
-``build_rig`` follows Algorithm 4: *node selection* computes the double
+``build_rig`` follows Algorithm 4: *node selection* runs the double
 simulation and takes ``cos(q) = FB(q)``; *node expansion* connects the
-selected nodes — here one hash-join per query edge, ``ms(e)``
-semi-joined to both endpoint cos sets (the dataflow analogue of the
-paper's batched bitmap intersections ``adj(v) ∩ cos(q)``, which replace
-per-node binary searches). Variants used by the evaluation:
+selected nodes in one batch over the simulation's tagged relations,
+``cos(e) = M ⋉ C(qs, src) ⋉ C(qd, dst)`` — the dataflow analogue of the
+paper's batched bitmap intersections ``adj(v) ∩ cos(q)``. The pass cap
+selects the RIG the evaluation uses:
 
-* ``sim=None``          -> match RIG G_Q^m (cos = ms; the GM-F/no-sim path)
-* ``max_passes=3``      -> the paper's approximate FB (default)
+* ``max_passes=0``      -> match RIG G_Q^m (cos = ms; GF and EH)
+* ``max_passes=1``      -> node pre-filtered RIG (GM-F)
+* ``max_passes=3``      -> the paper's approximate FB (GM, default)
 * ``max_passes=None``   -> exact double simulation
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import time
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core.matchsets import MatchContext
-from repro.core.simulation import SimResult, fb_sim, fb_sim_bas
+from repro.core.simulation import SimResult, fb_sim, materialize, semijoin_candidates
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 
@@ -57,79 +59,30 @@ def build_rig(
     ctx: MatchContext,
     p: Pattern,
     *,
-    sim: str | None = "auto",
     max_passes: int | None = 3,
-    prefilter_fb: dict[int, DataFrame] | None = None,
     guard: Guard | None = None,
 ) -> RIG:
-    """Algorithm 4 (BuildRIG): select nodes via FB, then expand edges.
-
-    ``sim``: 'auto' (FBSim), 'bas' (FBSimBas) or None (skip simulation —
-    cos(q)=ms(q), producing the match RIG; used by the GM-F variant).
-    ``prefilter_fb``: externally pruned node sets to start from (the
-    GM / GM-F node pre-filtering path).
-    """
+    """Algorithm 4 (BuildRIG): select nodes via FB, then expand edges."""
     t0 = time.perf_counter()
-    # -- node selection ---------------------------------------------------
-    if sim is None:
-        cos = {
-            q: (prefilter_fb[q] if prefilter_fb else ctx.ms_node(p, q))
-            for q in p.node_ids()
-        }
-        node_counts = {q: df.count() for q, df in cos.items()}
-        sim_res = None
-    else:
-        algo = fb_sim_bas if sim == "bas" else fb_sim
-        sim_res = algo(ctx, p, max_passes=max_passes, guard=guard)
-        cos = dict(sim_res.fb)
-        node_counts = dict(sim_res.counts)
-        if sim_res.empty:
-            # One empty FB(q) empties the whole answer (Q is connected):
-            # the RIG degenerates to the empty k-partite graph and query
-            # evaluation terminates early (§4.3 example).
-            cos = {q: df.limit(0) for q, df in cos.items()}
-            node_counts = {q: 0 for q in node_counts}
-
-    # -- node expansion ---------------------------------------------------
+    sim = fb_sim(ctx, p, max_passes=max_passes, guard=guard)
+    c = sim.candidates
+    cos_all = semijoin_candidates(sim.matches, c, "qs", "src")
+    cos_all, counted = materialize(
+        semijoin_candidates(cos_all, c, "qd", "dst"), "_e", range(len(p.edges))
+    )
     cos_edges: dict[PEdge, DataFrame] = {}
     edge_counts: dict[PEdge, int] = {}
-    if all(c > 0 for c in node_counts.values()):
-        # Batch expansion: all cos(e) sets tagged + unioned so the whole
-        # phase costs O(1) Spark actions regardless of |E_Q| (same trick
-        # as the simulation's _materialize; the paper batches this phase
-        # with bitmap unions for the same reason).
-        from pyspark.sql import functions as F
-
-        combined = None
-        for i, e in enumerate(p.edges):
-            ms = ctx.ms_edge(p, e)
-            ce = (
-                ms.join(cos[e.src], ms["src"] == cos[e.src]["id"], "leftsemi")
-                .join(cos[e.dst], ms["dst"] == cos[e.dst]["id"], "leftsemi")
-                .select(F.lit(i).alias("_e"), "src", "dst")
-            )
-            combined = ce if combined is None else combined.unionByName(ce)
-        combined = combined.localCheckpoint(eager=True)
-        counted = {
-            r["_e"]: r["n"]
-            for r in combined.groupBy("_e").agg(F.count("*").alias("n")).collect()
-        }
-        for i, e in enumerate(p.edges):
-            cos_edges[e] = combined.where(F.col("_e") == i).select("src", "dst")
-            edge_counts[e] = int(counted.get(i, 0))
-            if guard is not None:
-                guard.tick(edge_counts[e])
-    else:
-        for e in p.edges:  # empty FB -> empty RIG, early termination
-            cos_edges[e] = ctx.ms_edge(p, e).limit(0)
-            edge_counts[e] = 0
-
+    for i, e in enumerate(p.edges):
+        cos_edges[e] = cos_all.where(F.col("_e") == i).select("src", "dst")
+        edge_counts[e] = counted[i]
+        if guard is not None:
+            guard.tick(edge_counts[e])
     return RIG(
         pattern=p,
-        cos=cos,
+        cos=dict(sim.fb),
         cos_edges=cos_edges,
-        node_counts=node_counts,
+        node_counts=dict(sim.counts),
         edge_counts=edge_counts,
-        sim=sim_res,
+        sim=sim,
         build_seconds=time.perf_counter() - t0,
     )

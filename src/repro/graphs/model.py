@@ -31,6 +31,7 @@ class Graph:
     edges: DataFrame
     name: str = "graph"
     _label_cache: dict = field(default_factory=dict, repr=False)
+    _stats: dict | None = field(default=None, repr=False)
 
     def cache(self) -> "Graph":
         """Cache both relations; the graph is re-read by every phase."""
@@ -57,17 +58,20 @@ class Graph:
         degree ``2|E|/|V|`` (matches the published numbers, e.g. Email
         265K nodes / 420K edges -> 2.6 after halving... the paper lists
         |E|/|V|-ish values; we report both directions to be explicit).
+        Computed once per graph (3 Spark jobs); callers get a copy.
         """
-        v = self.nodes.count()
-        e = self.edges.count()
-        labels = self.nodes.select("label").distinct().count()
-        return {
-            "V": v,
-            "E": e,
-            "L": labels,
-            "d_avg": round(2.0 * e / v, 2) if v else 0.0,
-            "d_out": round(e / v, 2) if v else 0.0,
-        }
+        if self._stats is None:
+            v = self.nodes.count()
+            e = self.edges.count()
+            labels = self.nodes.select("label").distinct().count()
+            self._stats = {
+                "V": v,
+                "E": e,
+                "L": labels,
+                "d_avg": round(2.0 * e / v, 2) if v else 0.0,
+                "d_out": round(e / v, 2) if v else 0.0,
+            }
+        return dict(self._stats)
 
     def to_pandas(self) -> tuple[pd.DataFrame, pd.DataFrame]:
         """Collect both relations — used to feed the DuckDB oracle."""

@@ -35,7 +35,17 @@ class Pattern:
     labels: tuple[tuple[int, str], ...]  # (node_id, label), node ids unique
     edges: tuple[PEdge, ...]
     name: str = "Q"
+    # q -> (label, out-edges, in-edges, incident edges), in edge order.
     _adj: dict = field(default=None, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        adj = {q: (lab, [], [], []) for q, lab in self.labels}
+        for e in self.edges:
+            for q, k in ((e.src, 1), (e.dst, 2)):
+                if q in adj:  # unknown endpoints are reported by validate()
+                    adj[q][k].append(e)
+                    adj[q][3].append(e)
+        object.__setattr__(self, "_adj", adj)
 
     @staticmethod
     def of(labels: dict[int, str], edges, name: str = "Q") -> "Pattern":
@@ -47,7 +57,7 @@ class Pattern:
 
     # -- basic accessors -------------------------------------------------
     def label_of(self, q: int) -> str:
-        return dict(self.labels)[q]
+        return self._adj[q][0]
 
     def node_ids(self) -> list[int]:
         return [q for q, _ in self.labels]
@@ -56,13 +66,13 @@ class Pattern:
         return len(self.labels)
 
     def out_edges(self, q: int) -> list[PEdge]:
-        return [e for e in self.edges if e.src == q]
+        return list(self._adj[q][1])
 
     def in_edges(self, q: int) -> list[PEdge]:
-        return [e for e in self.edges if e.dst == q]
+        return list(self._adj[q][2])
 
     def incident(self, q: int) -> list[PEdge]:
-        return [e for e in self.edges if q in (e.src, e.dst)]
+        return list(self._adj[q][3])
 
     def undirected_degree(self, q: int) -> int:
         return len(self.incident(q))
@@ -131,22 +141,6 @@ class Pattern:
                     seen.add(e.dst)
                     stack.append(e.dst)
         return False
-
-    def dag_decomposition(self) -> tuple[tuple[PEdge, ...], tuple[PEdge, ...]]:
-        """Split edges into a spanning DAG and back edges (for FBSim's Dag+Δ).
-
-        Greedy: add edges in order, an edge whose addition closes a
-        directed cycle goes to the back-edge set.
-        """
-        dag: list[PEdge] = []
-        back: list[PEdge] = []
-        for e in self.edges:
-            trial = Pattern(labels=self.labels, edges=tuple(dag) + (e,), name=self.name)
-            if trial.topological_order() is None:
-                back.append(e)
-            else:
-                dag.append(e)
-        return tuple(dag), tuple(back)
 
     def with_edges(self, edges, name: str | None = None) -> "Pattern":
         return Pattern(

@@ -2,7 +2,8 @@
 
 Independent of every module under test: reachability by per-source DFS,
 homomorphism enumeration by backtracking, double simulation by naive
-pruning to fixpoint. Only for tiny graphs (tens of nodes).
+pruning to fixpoint, node pre-filtering by one existence check per
+edge. Only for tiny graphs (tens of nodes).
 """
 from __future__ import annotations
 
@@ -108,3 +109,25 @@ def double_simulation(
                 fb[e.dst] = keep
                 changed = True
     return fb
+
+
+
+def one_pass_prefilter(
+    p: Pattern, nodes: pd.DataFrame, edges: pd.DataFrame
+) -> dict[int, set[int]]:
+    """Node pre-filter [11,63]: v stays in ms(q) iff each edge at q has a partner in ms."""
+    labels = dict(zip(nodes.id.astype(int), nodes.label))
+    edge_set = {(int(s), int(d)) for s, d in edges.itertuples(index=False)}
+    reach = reach_pairs(edges)
+    ms = {q: {v for v, lab in labels.items() if lab == p.label_of(q)} for q in p.node_ids()}
+
+    def supported(q: int, v: int, e) -> bool:
+        rel = edge_set if e.kind == CHILD else reach
+        if e.src == q:
+            return any((v, w) in rel for w in ms[e.dst])
+        return any((u, v) in rel for u in ms[e.src])
+
+    return {
+        q: {v for v in ms[q] if all(supported(q, v, e) for e in p.incident(q))}
+        for q in p.node_ids()
+    }

@@ -2,7 +2,6 @@
 import pytest
 
 from repro.baselines.jm import edge_relations, jm, plan_left_deep
-from repro.baselines.prefilter import prefilter_nodes
 from repro.baselines.tm import spanning_tree, tm
 from repro.core.gm import gm
 from repro.core.simulation import fb_sim
@@ -46,7 +45,7 @@ class TestPrefilter:
         # One-pass pre-filtering prunes less than the FB fixpoint (§4.2).
         g, ctx = tiny_ctx_for(1)
         p = instantiate(6, qtype="H", n_labels=5, seed=1)
-        pf = prefilter_nodes(ctx, p)
+        pf = fb_sim(ctx, p, max_passes=1).fb
         sim = fb_sim(ctx, p, max_passes=None)
         for q in p.node_ids():
             pf_set = {r["id"] for r in pf[q].collect()}
@@ -56,7 +55,7 @@ class TestPrefilter:
     def test_subset_of_match_sets(self, tiny_ctx_for):
         g, ctx = tiny_ctx_for(1)
         p = instantiate(6, qtype="H", n_labels=5, seed=1)
-        pf = prefilter_nodes(ctx, p)
+        pf = fb_sim(ctx, p, max_passes=1).fb
         for q in p.node_ids():
             ms = {r["id"] for r in ctx.ms_node(p, q).collect()}
             assert {r["id"] for r in pf[q].collect()} <= ms

@@ -7,6 +7,7 @@ from repro.core.ordering import jo_order, ri_order
 from repro.core.rig import build_rig
 from repro.harness.runner import Guard
 from repro.oracle import assert_equivalent
+from repro.queries.pattern import Pattern
 from repro.queries.sql import pattern_to_sql
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
@@ -83,12 +84,24 @@ def test_mjoin_rejects_partial_order(tiny_ctx_for):
         mjoin(rig, [0, 1])
 
 
-@pytest.mark.parametrize("variant", ["gm", "gm-f", "gm-nr"])
-def test_gm_variants_agree(tiny_ctx_for, variant):
+@pytest.mark.parametrize("label", ["L1", "NOPE"])
+def test_gm_single_node_pattern(tiny_ctx_for, label):
+    # A lone query node has no edge: its answers are its inverted list.
+    g, ctx = tiny_ctx_for(0)
+    nodes, edges = g.to_pandas()
+    p = Pattern.of({0: label}, [])
+    got = {tuple(r) for r in gm(ctx, p).df.collect()}
+    assert got == homomorphisms(p, nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "settings", [{}, {"sim_passes": 1}, {"reduce": False}], ids=["gm", "gm-f", "gm-nr"]
+)
+def test_gm_variants_agree(tiny_ctx_for, settings):
     g, ctx = tiny_ctx_for(2)
     p = instantiate(15, qtype="H", n_labels=5, seed=4)
     base = {tuple(r) for r in gm(ctx, p).df.collect()}
-    got = {tuple(r) for r in gm(ctx, p, variant=variant).df.collect()}
+    got = {tuple(r) for r in gm(ctx, p, **settings).df.collect()}
     assert got == base
 
 
@@ -121,7 +134,7 @@ def test_gm_transitive_reduction_applied(tiny_ctx_for):
     g, ctx = tiny_ctx_for(0)
     p = instantiate(15, qtype="D", n_labels=5, seed=0)
     res = gm(ctx, p)
-    res_nr = gm(ctx, p, variant="gm-nr")
+    res_nr = gm(ctx, p, reduce=False)
     assert len(res.pattern.edges) <= len(res_nr.pattern.edges)
     assert {tuple(r) for r in res.df.collect()} == {
         tuple(r) for r in res_nr.df.collect()

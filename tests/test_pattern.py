@@ -111,17 +111,6 @@ class TestStructure:
         p2 = Pattern.of({0: "A", 1: "B", 2: "C"}, [PEdge(1, 0), PEdge(1, 2), e])
         assert not p2.has_path(0, 2, excluding=e)
 
-    def test_dag_decomposition_dag_pattern(self):
-        p = P({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)])
-        dag, back = p.dag_decomposition()
-        assert len(dag) == 2 and back == ()
-
-    def test_dag_decomposition_cycle(self):
-        p = P({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2), (2, 0)])
-        dag, back = p.dag_decomposition()
-        assert len(dag) == 2 and len(back) == 1
-        assert p.with_edges(dag).topological_order() is not None
-
     def test_with_edges_preserves_labels(self):
         p = P({0: "A", 1: "B"}, [(0, 1)])
         p2 = p.with_edges([PEdge(1, 0)], name="rev")

@@ -52,9 +52,9 @@ def test_prop41_rig_encodes_all_homomorphisms(bundle):
 
 
 def test_match_rig_largest(bundle):
-    # sim=None builds the match RIG G_Q^m: cos(e) == ms(e).
+    # max_passes=0 builds the match RIG G_Q^m: cos(e) == ms(e).
     _, ctx, _, _, p = bundle
-    rig = build_rig(ctx, p, sim=None)
+    rig = build_rig(ctx, p, max_passes=0)
     for e in p.edges:
         assert _edge_set(rig.cos_edges[e]) == _edge_set(ctx.ms_edge(p, e))
 
@@ -62,7 +62,7 @@ def test_match_rig_largest(bundle):
 def test_refined_rig_no_larger_than_match_rig(bundle):
     _, ctx, _, _, p = bundle
     refined = build_rig(ctx, p, max_passes=None)
-    match = build_rig(ctx, p, sim=None)
+    match = build_rig(ctx, p, max_passes=0)
     assert refined.size() <= match.size()
 
 
@@ -86,11 +86,3 @@ def test_build_seconds_recorded(bundle):
     _, ctx, _, _, p = bundle
     rig = build_rig(ctx, p)
     assert rig.build_seconds > 0
-
-
-def test_bas_variant_same_rig(bundle):
-    _, ctx, _, _, p = bundle
-    a = build_rig(ctx, p, sim="auto", max_passes=None)
-    b = build_rig(ctx, p, sim="bas", max_passes=None)
-    assert a.node_counts == b.node_counts
-    assert a.edge_counts == b.edge_counts
